@@ -1,9 +1,12 @@
-type entry = { inode : int; mutable offset : int; length : int; mutable age : int }
+type entry = { inode : int; mutable offset : int; length : int }
 
 type t = {
   storage : Bytes.t;
   alloc : Extent_alloc.t;
   rnodes : entry option array; (* slot 0 unused: rnode indices are 1-based *)
+  ages : int array;
+      (* the LRU age of each rnode, [max_int] when free: a flat array, so
+         the eviction scan reads consecutive ints and chases no pointers *)
   free_rnodes : int Stack.t;
   on_evict : inode:int -> rnode:int -> unit;
   stats : Amoeba_sim.Stats.t;
@@ -25,6 +28,7 @@ let create ~capacity ~max_rnodes ~on_evict =
     storage = Bytes.make capacity '\000';
     alloc = Extent_alloc.create ~start:0 ~length:capacity ();
     rnodes = Array.make (max_rnodes + 1) None;
+    ages = Array.make (max_rnodes + 1) max_int;
     free_rnodes;
     on_evict;
     stats = Amoeba_sim.Stats.create "cache";
@@ -47,6 +51,8 @@ let next_age t =
   t.tick <- t.tick + 1;
   t.tick
 
+let refresh t rnode = t.ages.(rnode) <- next_age t
+
 let entry t rnode =
   if rnode < 1 || rnode >= Array.length t.rnodes then
     invalid_arg (Printf.sprintf "Cache: rnode %d out of range" rnode);
@@ -58,20 +64,18 @@ let drop t rnode =
   let e = entry t rnode in
   if e.length > 0 then Extent_alloc.free t.alloc ~start:e.offset ~length:e.length;
   t.rnodes.(rnode) <- None;
+  t.ages.(rnode) <- max_int;
   Stack.push rnode t.free_rnodes;
   t.resident <- t.resident - 1;
   t.used <- t.used - e.length
 
+(* the resident rnode with the smallest age, the lowest index on a tie *)
 let lru t =
-  let best = ref None in
-  Array.iteri
-    (fun i slot ->
-      match (slot, !best) with
-      | None, _ -> ()
-      | Some e, None -> best := Some (i, e)
-      | Some e, Some (_, b) -> if e.age < b.age then best := Some (i, e))
-    t.rnodes;
-  !best
+  let best = ref 0 in
+  for i = 1 to Array.length t.ages - 1 do
+    if t.ages.(i) < t.ages.(!best) then best := i
+  done;
+  if !best = 0 then None else Some (!best, entry t !best)
 
 let evict_one t =
   match lru t with
@@ -104,7 +108,8 @@ let make_room t ~inode n =
   | Some offset ->
     let rnode = Stack.pop t.free_rnodes in
     let offset = if n = 0 then 0 else offset in
-    t.rnodes.(rnode) <- Some { inode; offset; length = n; age = next_age t };
+    t.rnodes.(rnode) <- Some { inode; offset; length = n };
+    refresh t rnode;
     t.resident <- t.resident + 1;
     t.used <- t.used + n;
     Amoeba_sim.Stats.incr t.stats "insertions";
@@ -124,13 +129,13 @@ let insert t ~inode data =
 
 let get t ~rnode =
   let e = entry t rnode in
-  e.age <- next_age t;
+  refresh t rnode;
   Bytes.sub t.storage e.offset e.length
 
 let sub t ~rnode ~pos ~len =
   let e = entry t rnode in
   if pos < 0 || len < 0 || pos + len > e.length then invalid_arg "Cache.sub: range out of bounds";
-  e.age <- next_age t;
+  refresh t rnode;
   Bytes.sub t.storage (e.offset + pos) len
 
 let blit_in t ~rnode ~pos data =
@@ -147,7 +152,9 @@ let remove t ~rnode =
   let (_ : entry) = entry t rnode in
   drop t rnode
 
-let touch t ~rnode = (entry t rnode).age <- next_age t
+let touch t ~rnode =
+  let (_ : entry) = entry t rnode in
+  refresh t rnode
 
 let compact t =
   (* Collect resident segments in address order and slide each down to the

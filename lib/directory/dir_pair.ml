@@ -49,17 +49,6 @@ let heal_primary t =
       | Error _ -> ())
   end
 
-let mutating command =
-  command = Dir_proto.cmd_make_dir || command = Dir_proto.cmd_enter
-  || command = Dir_proto.cmd_replace || command = Dir_proto.cmd_remove_name
-  || command = Dir_proto.cmd_delete_dir
-
-(* Every 2PC leg mutates replica state (intents, applied decisions, the
-   committed bindings themselves): all of them go to both replicas. *)
-let txn_command command =
-  command = Dir_proto.cmd_txn_prepare || command = Dir_proto.cmd_txn_commit
-  || command = Dir_proto.cmd_txn_abort
-
 (* Lease grants mutate replica state too (the lease horizon): both
    replicas must record every promise, or a fail-over could let the
    survivor mutate before a lease granted by its peer has drained. *)
@@ -71,7 +60,8 @@ let dispatch t request =
   if command = Dir_proto.cmd_checkpoint then
     (* checkpointing is per-replica persistence, not replicated state *)
     Dir_proto.dispatch (if t.primary_up then t.primary else t.backup) request
-  else if mutating command || lease_granting command || txn_command command then begin
+  else if Dir_proto.mutating command || lease_granting command || Dir_proto.txn_command command
+  then begin
     let reply_backup = Dir_proto.dispatch t.backup request in
     if t.primary_up then begin
       let reply_primary = Dir_proto.dispatch t.primary request in

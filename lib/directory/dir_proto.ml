@@ -40,6 +40,13 @@ let cmd_txn_commit = 26
 
 let cmd_txn_abort = 27
 
+let mutating command =
+  command = cmd_make_dir || command = cmd_enter || command = cmd_replace
+  || command = cmd_remove_name || command = cmd_delete_dir
+
+let txn_command command =
+  command = cmd_txn_prepare || command = cmd_txn_commit || command = cmd_txn_abort
+
 let encode_listing rows =
   let buf = Buffer.create 128 in
   let add_row (name, cap) =

@@ -51,6 +51,16 @@ val cmd_txn_abort : int
 (** 2PC abort ([arg0] = txn id): presumed abort — drops every intent of
     the transaction, unknown ids answer [Ok]. *)
 
+val mutating : int -> bool
+(** The commands that change directory bindings: make-dir, enter,
+    replace, remove-name and delete-dir. *)
+
+val txn_command : int -> bool
+(** The 2PC legs (prepare, commit, abort). Each changes replica state —
+    intents, applied decisions, the committed bindings themselves — and
+    that state is part of a {!Dir_server.checkpoint}. Lease grants are in
+    neither class: a lease horizon is not checkpointed. *)
+
 val encode_named_cap : Amoeba_cap.Capability.t -> string -> bytes
 (** Body layout of enter/replace requests: target capability followed by
     the name. *)

@@ -139,35 +139,59 @@ let test_fsck_clean_after_crash_reboot () =
 
 (* ---- the daemon, end to end over real TCP ---- *)
 
+let port_open port =
+  match Amoeba_rpc.Tcp.connect ~port () with
+  | conn ->
+    Amoeba_rpc.Tcp.close conn;
+    true
+  | exception Unix.Unix_error _ -> false
+
 let wait_for_port port =
   let rec go attempts =
-    if attempts = 0 then false
-    else
-      match Amoeba_rpc.Tcp.connect ~port () with
-      | conn ->
-        Amoeba_rpc.Tcp.close conn;
-        true
-      | exception Unix.Unix_error _ ->
-        Unix.sleepf 0.1;
-        go (attempts - 1)
+    if port_open port then true
+    else if attempts = 0 then false
+    else begin
+      Unix.sleepf 0.1;
+      go (attempts - 1)
+    end
   in
   go 50
 
-let with_daemon data_dir port f =
-  let command =
-    Printf.sprintf "%s --port %d --data %s --size-mb 8 --max-files 128 > bulletd.log 2>&1"
-      (Filename.quote (tool "bulletd")) port (Filename.quote data_dir)
+(* bulletd itself, not a shell around it, so the signals reach it; its
+   output goes to bulletd.log *)
+let start_daemon ?(args = []) data_dir port =
+  check_bool "port free before start" false (port_open port);
+  let argv =
+    Array.of_list
+      (tool "bulletd" :: "--port" :: string_of_int port :: "--data" :: data_dir
+       :: "--size-mb" :: "8" :: "--max-files" :: "128" :: args)
   in
-  let pid =
-    Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; command |] Unix.stdin Unix.stdout Unix.stderr
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.kill pid Sys.sigterm;
-      ignore (Unix.waitpid [] pid))
-    (fun () ->
-      check_bool "daemon came up" true (wait_for_port port);
-      f ())
+  let log = Unix.openfile "bulletd.log" Unix.[ O_WRONLY; O_CREAT; O_APPEND; O_CLOEXEC ] 0o644 in
+  let pid = Unix.create_process argv.(0) argv Unix.stdin log log in
+  Unix.close log;
+  if not (wait_for_port port) then begin
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    Alcotest.fail "daemon did not come up"
+  end;
+  pid
+
+let signal_daemon pid signal =
+  Unix.kill pid signal;
+  snd (Unix.waitpid [] pid)
+
+(* SIGTERM must stop the daemon cleanly and free its port *)
+let stop_daemon pid port =
+  check_bool "daemon exits 0 on SIGTERM" true (signal_daemon pid Sys.sigterm = Unix.WEXITED 0);
+  check_bool "port free after exit" false (port_open port)
+
+let with_daemon ?args data_dir port f =
+  let pid = start_daemon ?args data_dir port in
+  match f () with
+  | () -> stop_daemon pid port
+  | exception e ->
+    ignore (signal_daemon pid Sys.sigkill);
+    raise e
 
 let ctl port args =
   run (Printf.sprintf "%s %s --port %d" (Filename.quote (tool "bullet_ctl")) args port)
@@ -182,12 +206,21 @@ let test_daemon_end_to_end () =
           let status, out = ctl port "store greeting hello.txt" in
           check_bool "store ok" true (status = Unix.WEXITED 0);
           check_bool "prints capability" true (contains out "greeting -> ");
+          let persisted () =
+            ( In_channel.with_open_bin "data/dir.cap" In_channel.input_all,
+              List.map
+                (fun image -> (Unix.stat image).Unix.st_mtime)
+                [ "data/drive1.img"; "data/drive2.img" ] )
+          in
+          let before = persisted () in
           let _, out = ctl port "fetch greeting" in
           check_bool "fetch returns contents" true (contains out "hello daemon");
           let _, out = ctl port "ls" in
           check_bool "listed" true (contains out "greeting");
           let _, out = ctl port "stat" in
-          check_bool "stat shows files" true (contains out "live files"));
+          check_bool "stat shows files" true (contains out "live files");
+          (* reads take no checkpoint and write nothing to the images *)
+          check_bool "reads leave dir.cap and the images alone" true (persisted () = before));
       (* restart on the same images: the name space survives *)
       with_daemon "data" port (fun () ->
           let status, out = ctl port "fetch greeting" in
@@ -206,22 +239,7 @@ let test_daemon_fault_plan () =
       let oc = open_out "plan.txt" in
       output_string oc "# drop everything from the third request frame on\nseed 7\nat 3 loss 1.0\n";
       close_out oc;
-      let command =
-        Printf.sprintf
-          "%s --port %d --data data --size-mb 8 --max-files 128 --fault-plan plan.txt > \
-           bulletd.log 2>&1"
-          (Filename.quote (tool "bulletd")) port
-      in
-      let pid =
-        Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; command |] Unix.stdin Unix.stdout
-          Unix.stderr
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Unix.kill pid Sys.sigterm;
-          ignore (Unix.waitpid [] pid))
-        (fun () ->
-          check_bool "daemon came up" true (wait_for_port port);
+      with_daemon ~args:[ "--fault-plan"; "plan.txt" ] "data" port (fun () ->
           (* frames 1-2: hello + stat, delivered *)
           let status, out = ctl port "stat" in
           check_bool "first two frames delivered" true (status = Unix.WEXITED 0);
@@ -231,6 +249,139 @@ let test_daemon_fault_plan () =
           check_bool "third frame dropped on the wire" true (status <> Unix.WEXITED 0);
           let log = In_channel.with_open_text "bulletd.log" In_channel.input_all in
           check_bool "daemon announced the plan" true (contains log "fault plan loaded")))
+
+let live_files port =
+  let _, out = ctl port "stat" in
+  List.find_map
+    (fun line ->
+      try Some (Scanf.sscanf line "live files %d" Fun.id)
+      with Scanf.Scan_failure _ | End_of_file -> None)
+    (String.split_on_char '\n' out)
+  |> Option.value ~default:(-1)
+
+let test_daemon_sigterm_mid_stream () =
+  (* SIGTERM while a client streams CREATEs: the daemon finishes the
+     request in flight, exits 0, and every acknowledged file is on the
+     images when it restarts *)
+  in_temp_dir (fun () ->
+      let module Message = Amoeba_rpc.Message in
+      let port = 21_000 + (Unix.getpid () mod 2_000) in
+      let pid = start_daemon "data" port in
+      let acked = Atomic.make 0 in
+      let stream () =
+        try
+          let conn = Amoeba_rpc.Tcp.connect ~port () in
+          let null_port = Amoeba_cap.Port.of_int64 0L in
+          let hello = Amoeba_rpc.Tcp.trans conn (Message.request ~port:null_port ~command:0 ()) in
+          let bullet = (Option.get hello.Message.cap).Amoeba_cap.Capability.port in
+          while true do
+            let reply =
+              Amoeba_rpc.Tcp.trans conn
+                (Message.request ~port:bullet ~command:Bullet_core.Proto.cmd_create ~arg0:2
+                   ~body:(payload 3_000) ())
+            in
+            if reply.Message.status = Amoeba_rpc.Status.Ok then Atomic.incr acked
+          done
+        with Failure _ | Unix.Unix_error _ -> ()
+      in
+      let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      let streamer = Thread.create stream () in
+      let deadline = Unix.gettimeofday () +. 20. in
+      while Atomic.get acked < 20 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.005
+      done;
+      let status = signal_daemon pid Sys.sigterm in
+      Thread.join streamer;
+      Sys.set_signal Sys.sigpipe sigpipe;
+      let acked = Atomic.get acked in
+      check_bool "creates were acknowledged" true (acked >= 20);
+      check_bool "exit 0 on SIGTERM mid-stream" true (status = Unix.WEXITED 0);
+      with_daemon "data" port (fun () ->
+          check_bool "every acknowledged create survives" true (live_files port >= acked)))
+
+let test_daemon_survives_kill_9 () =
+  (* the reply to a P-FACTOR 2 store comes only once both images hold the
+     file, so SIGKILL right after it loses nothing *)
+  in_temp_dir (fun () ->
+      let port = 23_000 + (Unix.getpid () mod 2_000) in
+      (* spans several 64 KiB chunks *)
+      let data = Bytes.init 200_000 (fun i -> Char.chr (((i * 131) + (i / 977)) land 0xff)) in
+      Out_channel.with_open_bin "precious.bin" (fun oc -> Out_channel.output_bytes oc data);
+      let pid = start_daemon "data" port in
+      let status, _ = ctl port "store precious precious.bin --p-factor 2" in
+      check_bool "store acknowledged" true (status = Unix.WEXITED 0);
+      check_bool "killed" true (signal_daemon pid Sys.sigkill = Unix.WSIGNALED Sys.sigkill);
+      List.iter
+        (fun image ->
+          let status, out = fsck image in
+          check_bool (image ^ ": fsck exit 0") true (status = Unix.WEXITED 0);
+          check_bool (image ^ ": clean") true (contains out "consistency       clean"))
+        [ "data/drive1.img"; "data/drive2.img" ];
+      with_daemon "data" port (fun () ->
+          let status, _ = ctl port "fetch precious -o back.bin" in
+          check_bool "fetch after kill -9" true (status = Unix.WEXITED 0);
+          check_bytes "exact bytes" data
+            (Bytes.of_string (In_channel.with_open_bin "back.bin" In_channel.input_all))))
+
+let test_daemon_names_survive_kill_9 () =
+  (* SIGKILL while a client streams directory updates, three times at
+     different points of the checkpoint sequence: each restart restores
+     the checkpoint, and every name acknowledged before a kill is bound *)
+  in_temp_dir (fun () ->
+      let module Message = Amoeba_rpc.Message in
+      let module Dir_proto = Amoeba_dir.Dir_proto in
+      let port = 25_000 + (Unix.getpid () mod 2_000) in
+      let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      let acknowledged = ref [] in
+      for round = 1 to 3 do
+        let pid = start_daemon "data" port in
+        let acked = Atomic.make 0 and refused = Atomic.make false in
+        let name i = Printf.sprintf "r%d-%d" round i in
+        let stream () =
+          try
+            let conn = Amoeba_rpc.Tcp.connect ~port () in
+            let null_port = Amoeba_cap.Port.of_int64 0L in
+            let hello = Amoeba_rpc.Tcp.trans conn (Message.request ~port:null_port ~command:0 ()) in
+            let dir_port = Amoeba_cap.Port.read hello.Message.body 0 in
+            let root =
+              Option.get
+                (Amoeba_rpc.Tcp.trans conn
+                   (Message.request ~port:dir_port ~command:Dir_proto.cmd_get_root ()))
+                  .Message.cap
+            in
+            while true do
+              let reply =
+                Amoeba_rpc.Tcp.trans conn
+                  (Message.request ~port:dir_port ~command:Dir_proto.cmd_enter ~cap:root
+                     ~body:(Dir_proto.encode_named_cap root (name (Atomic.get acked)))
+                     ())
+              in
+              if reply.Message.status = Amoeba_rpc.Status.Ok then Atomic.incr acked
+              else Atomic.set refused true
+            done
+          with Failure _ | Unix.Unix_error _ -> ()
+        in
+        let streamer = Thread.create stream () in
+        let deadline = Unix.gettimeofday () +. 20. in
+        while Atomic.get acked < 5 && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        Unix.sleepf (0.0013 *. float_of_int round);
+        let status = signal_daemon pid Sys.sigkill in
+        Thread.join streamer;
+        check_bool "killed" true (status = Unix.WSIGNALED Sys.sigkill);
+        check_bool "no enter refused" false (Atomic.get refused);
+        check_bool "enters were acknowledged" true (Atomic.get acked >= 5);
+        acknowledged := List.init (Atomic.get acked) name @ !acknowledged;
+        with_daemon "data" port (fun () ->
+            let _, out = ctl port "ls" in
+            List.iter
+              (fun n -> check_bool (n ^ " survives kill -9") true (contains out (n ^ " ")))
+              !acknowledged)
+      done;
+      Sys.set_signal Sys.sigpipe sigpipe;
+      let log = In_channel.with_open_text "bulletd.log" In_channel.input_all in
+      check_bool "every restart restored the checkpoint" false (contains log "starting fresh"))
 
 let test_daemon_rejects_bad_plan () =
   in_temp_dir (fun () ->
@@ -339,5 +490,11 @@ let suite =
         test_fsck_cluster_rejects_garbage;
       Alcotest.test_case "bulletd end to end over TCP" `Slow test_daemon_end_to_end;
       Alcotest.test_case "bulletd --fault-plan drops frames on TCP" `Slow test_daemon_fault_plan;
+      Alcotest.test_case "bulletd exits 0 on SIGTERM mid-stream" `Slow
+        test_daemon_sigterm_mid_stream;
+      Alcotest.test_case "bulletd loses nothing acknowledged to kill -9" `Slow
+        test_daemon_survives_kill_9;
+      Alcotest.test_case "bulletd keeps acknowledged names across kill -9" `Slow
+        test_daemon_names_survive_kill_9;
       Alcotest.test_case "bulletd rejects a malformed plan" `Quick test_daemon_rejects_bad_plan;
     ] )
